@@ -1,16 +1,17 @@
 // Envelope fuzzer: arbitrary bytes through BinaryReader (v1/v2 header,
 // section table, CRC paths), MappedEnvelope::Open, and every typed Load —
 // Rne, QuantizedRne, ContractionHierarchy, H2HIndex, AltIndex, GTree,
-// PartitionHierarchy — across heap / mmap / cold-mmap / block-cache modes.
+// PartitionHierarchy — across heap / mmap / cold-mmap modes.
 //
-// Input layout: byte 0 selects the index kind and load modes; the rest is
-// the file image. The image is exercised twice: once raw (header rejection
-// paths stay covered) and once after FixupEnvelope() re-seals the outer
-// magic, version, payload size, and the three CRC layers — so mutations of
-// the *inner* metadata survive the envelope's checksums and reach the typed
-// parsers, which is where the depth is. The libFuzzer build applies the
-// same fixup inside a custom mutator; the replay build applies it here so
-// corpus entries behave identically in both.
+// Input layout: byte 0 selects the index kind and load modes (mode bit 1
+// mmap, 2 cold mmap; others are ignored); the rest is the file image. The
+// image is exercised twice: once raw (header rejection paths stay covered)
+// and once after FixupEnvelope() re-seals the outer magic, version, payload
+// size, and the three CRC layers — so mutations of the *inner* metadata
+// survive the envelope's checksums and reach the typed parsers, which is
+// where the depth is. The libFuzzer build applies the same fixup inside a
+// custom mutator; the replay build applies it here so corpus entries behave
+// identically in both.
 //
 // Statuses are ignored by design: a corrupt file must load as an error, not
 // as a crash, a sanitizer report, or an allocation proportional to a forged
@@ -134,10 +135,6 @@ void DriveTypedLoads(size_t kind, uint8_t modes) {
   const std::string& path = ScratchPath();
   LoadOptions cold;
   cold.mode = LoadMode::kMmapCold;
-  LoadOptions blocks;
-  blocks.mode = LoadMode::kBlockCache;
-  blocks.block_bytes = 512;
-  blocks.block_count = 4;
   switch (kind) {
     case 0: {
       (void)Rne::Load(path);
@@ -155,7 +152,6 @@ void DriveTypedLoads(size_t kind, uint8_t modes) {
       mapped.mode = LoadMode::kMmap;
       if (modes & 1) (void)QuantizedRne::Load(path, mapped);
       if (modes & 2) (void)QuantizedRne::Load(path, cold);
-      if (modes & 4) (void)QuantizedRne::Load(path, blocks);
       break;
     }
     case 2:

@@ -626,11 +626,6 @@ StatusOr<GTree> GTree::Load(const std::string& path, const Graph& g) {
 
 StatusOr<GTree> GTree::Load(const std::string& path, const Graph& g,
                             const LoadOptions& options) {
-  if (options.mode == LoadMode::kBlockCache) {
-    return Status::InvalidArgument(
-        "G-tree indexes do not support block-cache loads (queries walk many "
-        "matrices per call); use mmap");
-  }
   if (options.mode == LoadMode::kMmap ||
       options.mode == LoadMode::kMmapCold) {
     auto opened = MappedEnvelope::Open(path, kGTreeMagic, options.mode);

@@ -81,8 +81,7 @@ class GTree : public DistanceMethod {
   static StatusOr<GTree> Load(const std::string& path, const Graph& g);
   /// Mode-controlled load. kMmap / kMmapCold serve the distance matrices
   /// zero-copy from a read-only mapping (v1 files fall back to a heap
-  /// load — there is nothing to map). kBlockCache is not supported: queries
-  /// walk many matrices per call, so there is no bounded working set.
+  /// load — there is nothing to map).
   static StatusOr<GTree> Load(const std::string& path, const Graph& g,
                               const LoadOptions& options);
 

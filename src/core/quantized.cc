@@ -42,27 +42,7 @@ QuantizedRne::QuantizedRne(const Rne& model) {
   }
 }
 
-double QuantizedRne::QueryCold(VertexId s, VertexId t) const {
-  // Rows are staged through stack buffers (dim is capped at kMaxColdDim by
-  // the load path); the cache pins at most one block at a time here, so
-  // query threads can never deadlock on pinned-slot exhaustion.
-  uint8_t row_s[kMaxColdDim];
-  uint8_t row_t[kMaxColdDim];
-  Status st =
-      cache_->Read(codes_file_offset_ + uint64_t{s} * dim_, row_s, dim_);
-  if (st.ok()) {
-    st = cache_->Read(codes_file_offset_ + uint64_t{t} * dim_, row_t, dim_);
-  }
-  if (!st.ok()) throw CorruptionError(st.ToString());
-  return QuantizedL1Kernel(row_s, row_t, steps_.data(), dim_) * scale_;
-}
-
 Status QuantizedRne::Save(const std::string& path, SaveFormat format) const {
-  if (cache_ != nullptr) {
-    return Status::FailedPrecondition(
-        "cannot re-save a block-cached model (codes are not resident): " +
-        path);
-  }
   BinaryWriter w(path, kQuantMagic);
   if (!w.ok()) return Status::IoError("cannot open " + path + ".tmp");
   const uint8_t* codes = codes_view_ != nullptr ? codes_view_ : codes_.data();
@@ -104,7 +84,7 @@ Status QuantizedRne::ParseMeta(BinaryReader& r, const std::string& path) {
 }
 
 Status QuantizedRne::CheckConsistent(const std::string& path) const {
-  const bool inline_codes = codes_view_ == nullptr && cache_ == nullptr;
+  const bool inline_codes = codes_view_ == nullptr;
   // The rows-bound check keeps rows*dim from overflowing on corrupt counts
   // (v2 paths already cross-checked rows*dim against the section table).
   if (steps_.size() != dim_ ||
@@ -148,30 +128,7 @@ StatusOr<QuantizedRne> QuantizedRne::Load(const std::string& path,
   QuantizedRne q;
   RNE_RETURN_IF_ERROR(q.ParseMeta(r, path));
   RNE_RETURN_IF_ERROR(r.Finish());
-  const bool v2 = r.format_version() >= kFormatVersionV2;
-  if (options.mode == LoadMode::kBlockCache && !v2) {
-    return Load(path, LoadOptions{});  // v1 codes are inline; heap fallback
-  }
-  if (options.mode == LoadMode::kBlockCache) {
-    if (q.dim_ > kMaxColdDim) {
-      return Status::FailedPrecondition(
-          "embedding dim too large for block-cached serving: " + path);
-    }
-    // Integrity first: stream-verify every section (bounded memory), then
-    // serve rows by offset. The cache itself never re-checksums — the
-    // verified file is the unit of trust, as with an eager mmap.
-    RNE_RETURN_IF_ERROR(r.VerifyAllSections());
-    // ParseMeta proved rows*dim == section size, so a missing section means
-    // an empty model: any offset works, no block is ever fetched.
-    const SectionInfo* sec = r.FindSection(kSecQuantCodes);
-    q.codes_file_offset_ = sec == nullptr ? 0 : sec->offset;
-    BlockCache::Options copt;
-    copt.block_bytes = options.block_bytes;
-    copt.block_count = options.block_count;
-    auto cache = BlockCache::Open(path, copt);
-    if (!cache.ok()) return cache.status();
-    q.cache_ = std::move(cache).value();
-  } else if (v2) {
+  if (r.format_version() >= kFormatVersionV2) {
     q.codes_.resize(q.rows_ * q.dim_);
     if (!q.codes_.empty()) {
       RNE_RETURN_IF_ERROR(r.ReadSectionInto(kSecQuantCodes, q.codes_.data(),

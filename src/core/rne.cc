@@ -232,11 +232,6 @@ StatusOr<Rne> Rne::Load(const std::string& path, const LoadOptions& options) {
       options.mode == LoadMode::kMmapCold) {
     return LoadMapped(path, options);
   }
-  if (options.mode == LoadMode::kBlockCache) {
-    return Status::InvalidArgument(
-        "RNE models do not support block-cache loads (the kNN index needs "
-        "resident rows); use mmap, or QuantizedRne for cold storage");
-  }
   BinaryReader r(path, kRneMagic);
   if (!r.ok()) return r.status();
   Rne model;

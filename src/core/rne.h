@@ -122,9 +122,7 @@ class Rne {
   static StatusOr<Rne> Load(const std::string& path);
   /// Mode-controlled load. kMmap / kMmapCold serve the embedding matrices
   /// zero-copy from a read-only mapping (v1 files fall back to a heap
-  /// load — there is nothing to map). kBlockCache is not supported for RNE
-  /// models (the kNN index needs resident rows); use QuantizedRne for
-  /// block-cached cold storage.
+  /// load — there is nothing to map).
   static StatusOr<Rne> Load(const std::string& path,
                             const LoadOptions& options);
 

@@ -1,5 +1,8 @@
 #include "serve/model_manager.h"
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -49,6 +52,31 @@ class ManagedRneBackend : public QueryBackend {
  private:
   const ModelManager* manager_;
 };
+
+/// A diverged training run saves cleanly and passes every checksum, yet a
+/// published model with a non-finite row answers `DIST nan`; refuse it.
+/// A float is inf or NaN exactly when its exponent bits are all ones; the
+/// bit test vectorizes where a loop of std::isfinite does not (26 vs 100 us
+/// over a 4096 x 32 model on one Xeon core).
+Status CheckFinite(const Rne& model, const std::string& path) {
+  constexpr uint32_t kExponent = 0x7f800000u;
+  uint32_t non_finite = 0;
+  for (const EmbeddingMatrix* m :
+       {&model.vertex_embeddings(), &model.node_embeddings()}) {
+    const float* x = m->raw();
+    const size_t n = m->rows() * m->dim();
+    for (size_t i = 0; i < n; ++i) {
+      uint32_t bits = 0;
+      std::memcpy(&bits, x + i, sizeof(bits));
+      non_finite |= (bits & kExponent) == kExponent;
+    }
+  }
+  if (non_finite == 0 && std::isfinite(model.p()) &&
+      std::isfinite(model.scale())) {
+    return Status::Ok();
+  }
+  return Status::Corruption(path + ": model has non-finite parameters");
+}
 
 }  // namespace
 
@@ -102,6 +130,11 @@ Status ModelManager::Load(const std::string& path) {
   if (!verified.ok()) {
     RNE_COUNTER_ADD("serve.swap.rejected", 1);
     return verified;
+  }
+  const Status finite = CheckFinite(model.value(), path);
+  if (!finite.ok()) {
+    RNE_COUNTER_ADD("serve.swap.rejected", 1);
+    return finite;
   }
   // Stage 3: materialize the snapshot (kNN index build is the expensive
   // part) while the old generation keeps serving.

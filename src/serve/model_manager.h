@@ -3,11 +3,12 @@
 // model + its kNN index as one immutable snapshot behind an atomic
 // shared_ptr. Load() verifies and materializes a replacement entirely off
 // the serving path — envelope/structural verify (the same check as
-// `rne_tool verify`), full typed deserialize, kNN index build — and only
-// then publishes with a single lock-free pointer swap. In-flight queries
-// keep the snapshot they started with, so a swap never fails a query; a
-// corrupt or mismatched replacement is rejected and the previous snapshot
-// keeps serving (rollback is the default because publish is the last step).
+// `rne_tool verify`), full typed deserialize, a finiteness pass over the
+// parameters, kNN index build — and only then publishes with a single
+// lock-free pointer swap. In-flight queries keep the snapshot they started
+// with, so a swap never fails a query; a corrupt, non-finite or mismatched
+// replacement is rejected and the previous snapshot keeps serving (rollback
+// is the default because publish is the last step).
 //
 // The `RELOAD` verb in serve/server_loop.h is a thin wrapper over Load().
 #ifndef RNE_SERVE_MODEL_MANAGER_H_

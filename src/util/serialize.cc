@@ -88,8 +88,6 @@ const char* LoadModeName(LoadMode mode) {
       return "mmap";
     case LoadMode::kMmapCold:
       return "mmap-cold";
-    case LoadMode::kBlockCache:
-      return "block-cache";
   }
   return "unknown";
 }

@@ -108,10 +108,6 @@ enum class LoadMode {
   /// mmap the file read-only; sections flagged lazy-verify have their
   /// checksum deferred to first access (open is O(metadata)).
   kMmapCold,
-  /// Serve large sections through a bounded pread-backed BlockCache instead
-  /// of mapping them; resident set is capped at the cache size. Only
-  /// supported by index kinds that opt in (currently QuantizedRne).
-  kBlockCache,
 };
 
 const char* LoadModeName(LoadMode mode);
@@ -124,9 +120,6 @@ enum class SaveFormat { kSectioned, kLegacyV1 };
 /// Options threaded through index Load() entry points.
 struct LoadOptions {
   LoadMode mode = LoadMode::kHeap;
-  /// Block size and capacity for LoadMode::kBlockCache.
-  uint64_t block_bytes = 64 * 1024;
-  uint64_t block_count = 64;
 };
 
 /// One v2 section as parsed from the table. `pad_start` is derived at open

@@ -343,11 +343,10 @@ TEST_F(DifferentialTest, CachedAnswersAreBitIdenticalPerBackend) {
 
 // ------------------------------------------------- mmap vs heap parity
 //
-// The zero-copy load paths (kMmap, kMmapCold, and for the quantized model
-// kBlockCache) must serve *bit-identical* answers to the heap loader: same
-// file, same doubles, compared with memcmp — never EXPECT_NEAR. Any
-// difference means the sectioned layout and the eager deserializer disagree
-// about the matrix bytes.
+// The zero-copy load paths (kMmap, kMmapCold) must serve *bit-identical*
+// answers to the heap loader: same file, same doubles, compared with memcmp
+// — never EXPECT_NEAR. Any difference means the sectioned layout and the
+// eager deserializer disagree about the matrix bytes.
 
 void ExpectBitIdentical(double want, double got, const char* mode,
                         VertexId s, VertexId t) {
@@ -401,12 +400,6 @@ TEST_F(DifferentialTest, MmapServedQuantizedBitIdenticalToHeap) {
   EXPECT_TRUE(mapped.value().IsMapped());
   auto cold = QuantizedRne::Load(*quant_path_, WithMode(LoadMode::kMmapCold));
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  LoadOptions blocks = WithMode(LoadMode::kBlockCache);
-  blocks.block_bytes = 1024;
-  blocks.block_count = 8;
-  auto cached = QuantizedRne::Load(*quant_path_, blocks);
-  ASSERT_TRUE(cached.ok()) << cached.status().ToString();
-  EXPECT_TRUE(cached.value().IsBlockCached());
 
   Rng rng(FuzzSeed() + 11);
   const size_t n = graph_->NumVertices();
@@ -416,8 +409,6 @@ TEST_F(DifferentialTest, MmapServedQuantizedBitIdenticalToHeap) {
     const double reference = heap.value().Query(s, t);
     ExpectBitIdentical(reference, mapped.value().Query(s, t), "mmap", s, t);
     ExpectBitIdentical(reference, cold.value().Query(s, t), "cold", s, t);
-    ExpectBitIdentical(reference, cached.value().Query(s, t), "blockcache",
-                       s, t);
   }
 }
 

@@ -12,13 +12,16 @@
 #include <vector>
 
 #include "algo/dijkstra.h"
+#include "algo/distance_sampler.h"
 #include "core/rne.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "serve/backend.h"
 #include "serve/model_manager.h"
 #include "serve/query_engine.h"
 #include "serve/result_cache.h"
 #include "util/fault_injection.h"
+#include "util/rng.h"
 #include "util/serialize.h"
 
 namespace rne::serve {
@@ -129,6 +132,37 @@ TEST(ModelManagerTest, CorruptReplacementIsRejectedAndOldKeepsServing) {
   std::filesystem::remove(good);
   std::filesystem::remove(bad);
   std::filesystem::remove(cut);
+}
+
+TEST(ModelManagerTest, NonFiniteReplacementIsRejectedAndOldKeepsServing) {
+  // A diverged refinement saves with valid checksums; only the publish gate
+  // can tell that its rows would answer NaN.
+  const Graph g = SmallNetwork();
+  const std::string good = SaveTinyModel(g, "rne_mm_finite.bin");
+  const std::string nan = TempPath("rne_mm_nan.bin");
+  Rne poisoned = TinyModel(g);
+  DistanceSampler sampler(g);
+  Rng rng(3);
+  poisoned.RefineOnline(sampler.RandomPairs(200, rng), 3, 1e300);
+  ASSERT_TRUE(poisoned.Save(nan).ok());
+  ASSERT_TRUE(Rne::Load(nan).ok()) << "the file itself stays loadable";
+
+  ModelManager manager;
+  ASSERT_TRUE(manager.Load(good).ok());
+  const auto before = manager.Current();
+  const double answer = before->model->Query(1, 17);
+  const obs::Counter* rejected =
+      obs::MetricsRegistry::Global().GetCounter("serve.swap.rejected");
+  const uint64_t rejected_before = rejected->Value();
+
+  EXPECT_EQ(manager.Load(nan).code(), StatusCode::kCorruption);
+  EXPECT_EQ(rejected->Value(), rejected_before + 1);
+  EXPECT_EQ(manager.version(), 1u);
+  EXPECT_EQ(manager.Current(), before);
+  EXPECT_EQ(manager.Current()->model->Query(1, 17), answer);
+
+  std::filesystem::remove(good);
+  std::filesystem::remove(nan);
 }
 
 TEST(ModelManagerTest, VertexCountMismatchIsRejected) {

@@ -1,6 +1,7 @@
 // Persistence round-trips for the baseline indexes (CH, H2H, ALT) and the
 // extended Rne APIs (QueryOneToMany / QueryKnn / RefineOnline), plus a
-// parameterized envelope-robustness sweep over every index kind.
+// parameterized envelope-robustness sweep over every index kind, and the
+// MmapFile wrapper behind the mmap load modes.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -473,6 +474,44 @@ TEST_F(V2LayoutTest, MappedAnswersSurviveFileReplacement) {
   EXPECT_EQ(std::memcmp(&before, &after, sizeof(double)), 0)
       << "mapping must pin the old inode across an atomic replace";
   std::filesystem::remove(path);
+}
+
+// ------------------------------------------------- MmapFile RAII wrapper
+
+/// Deterministic content so any byte can be validated from its offset.
+uint8_t ByteAt(uint64_t offset) {
+  return static_cast<uint8_t>((offset * 131 + 7) & 0xFF);
+}
+
+std::string WritePatternFile(const std::string& name, uint64_t size) {
+  const std::string path = TempPath(name);
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  for (uint64_t i = 0; i < size; ++i) {
+    const char b = static_cast<char>(ByteAt(i));
+    out.write(&b, 1);
+  }
+  return path;
+}
+
+TEST(MmapFileTest, MapsWholeFileReadOnly) {
+  const std::string path = WritePatternFile("rne_mmap_basic.bin", 1000);
+  auto file = MmapFile::Map(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  ASSERT_EQ(file.value()->size(), 1000u);
+  for (uint64_t i = 0; i < 1000; ++i) {
+    ASSERT_EQ(file.value()->data()[i], ByteAt(i)) << i;
+  }
+  // Advice is best-effort; all variants must be safe to issue.
+  file.value()->Advise(MmapFile::Advice::kRandom);
+  file.value()->AdviseRange(128, 512, MmapFile::Advice::kWillNeed);
+  file.value()->AdviseRange(0, 1000, MmapFile::Advice::kDontNeed);
+  EXPECT_EQ(file.value()->data()[999], ByteAt(999));  // still readable
+  std::filesystem::remove(path);
+}
+
+TEST(MmapFileTest, MissingFileIsNotFound) {
+  EXPECT_EQ(MmapFile::Map(TempPath("rne_mmap_missing.bin")).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(RneRefineTest, OnlineRefinementReducesError) {
