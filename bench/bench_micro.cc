@@ -361,8 +361,8 @@ void BM_ServeQueryObs(benchmark::State& state) {
     options.num_threads = 2;
     auto* e = new serve::QueryEngine(options);
     e->AddReadyBackend(serve::MakeSharedModelBackend(BenchModel()));
-    // Discard OK: AddReadyBackend never enters the loading state, so
-    // there is no load error to propagate.
+    // Discard OK: AddReadyBackend takes a built backend, so there is no
+    // load error to propagate.
     (void)e->WaitUntilLoaded();
     return e;
   }();

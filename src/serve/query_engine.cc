@@ -63,72 +63,40 @@ QueryEngine::QueryEngine(const EngineOptions& options, ThreadPool* pool)
   }
 }
 
-QueryEngine::~QueryEngine() {
-  std::vector<std::thread> loaders;
-  {
-    MutexLock lock(&chain_mu_);
-    loaders.swap(loaders_);
-  }
-  for (auto& t : loaders) t.join();
-}
-
-std::unique_ptr<QueryEngine::BackendSlot> QueryEngine::MakeSlot(
-    const std::string& name) {
+void QueryEngine::AppendSlot(const std::string& name,
+                             std::unique_ptr<QueryBackend> backend,
+                             Status load_status) {
   auto slot = std::make_unique<BackendSlot>();
   slot->name = name;
+  slot->backend = std::move(backend);
+  slot->load_status = std::move(load_status);
+  slot->fault_point = "serve.backend." + name;
   slot->latency = BackendLatencyStat(name);
   slot->breaker = std::make_unique<CircuitBreaker>(options_.breaker);
   slot->breaker_gauge = BackendBreakerGauge(name);
-  return slot;
+  MutexLock lock(&chain_mu_);
+  chain_.push_back(std::move(slot));
 }
 
 void QueryEngine::AddBackend(const std::string& name, BackendContext ctx) {
   ctx.num_workers = pool_->num_threads();
-  auto slot = MakeSlot(name);
-  BackendSlot* raw = slot.get();
-  MutexLock lock(&chain_mu_);
-  chain_.push_back(std::move(slot));
-  // Loads run on dedicated threads, never on the serving pool: a query task
-  // blocked on a loading backend must not be able to starve the load itself.
-  loaders_.emplace_back([this, raw, name, ctx] {
-    auto result = MakeBackend(name, ctx);
-    {
-      MutexLock inner(&chain_mu_);
-      if (result.ok()) {
-        raw->backend = std::move(result).value();
-        raw->state = SlotState::kReady;
-      } else {
-        raw->load_status = result.status();
-        raw->state = SlotState::kFailed;
-      }
-    }
-    chain_changed_.NotifyAll();
-  });
+  auto result = MakeBackend(name, ctx);
+  if (result.ok()) {
+    AppendSlot(name, std::move(result).value(), Status::Ok());
+  } else {
+    AppendSlot(name, nullptr, result.status());
+  }
 }
 
 void QueryEngine::AddReadyBackend(std::unique_ptr<QueryBackend> backend) {
-  auto slot = MakeSlot(backend->Name());
-  slot->backend = std::move(backend);
-  slot->state = SlotState::kReady;
-  {
-    MutexLock lock(&chain_mu_);
-    chain_.push_back(std::move(slot));
-  }
-  chain_changed_.NotifyAll();
-}
-
-bool QueryEngine::AnyBackendLoading() const {
-  for (const auto& slot : chain_) {
-    if (slot->state == SlotState::kLoading) return true;
-  }
-  return false;
+  const std::string name = backend->Name();
+  AppendSlot(name, std::move(backend), Status::Ok());
 }
 
 Status QueryEngine::WaitUntilLoaded() {
   MutexLock lock(&chain_mu_);
-  while (AnyBackendLoading()) chain_changed_.Wait(&lock);
   for (const auto& slot : chain_) {
-    if (slot->state == SlotState::kFailed) return slot->load_status;
+    if (!slot->load_status.ok()) return slot->load_status;
   }
   return Status::Ok();
 }
@@ -145,17 +113,6 @@ std::vector<BackendHealth> QueryEngine::Health() const {
   for (const auto& slot : chain_) {
     BackendHealth health;
     health.name = slot->name;
-    switch (slot->state) {
-      case SlotState::kLoading:
-        health.load_state = "loading";
-        break;
-      case SlotState::kReady:
-        health.load_state = "ready";
-        break;
-      case SlotState::kFailed:
-        health.load_state = "failed";
-        break;
-    }
     health.breaker = slot->breaker->state();
     health.breaker_trips = slot->breaker->trips();
     out.push_back(std::move(health));
@@ -163,31 +120,14 @@ std::vector<BackendHealth> QueryEngine::Health() const {
   return out;
 }
 
-QueryEngine::BackendSlot* QueryEngine::ChooseBackend(
-    RequestKind kind, Clock::time_point deadline, size_t start,
-    FallbackFlags* flags, size_t* index) {
-  const bool bounded = deadline != Clock::time_point::max();
+QueryEngine::BackendSlot* QueryEngine::ChooseBackend(RequestKind kind,
+                                                     size_t start,
+                                                     FallbackFlags* flags,
+                                                     size_t* index) {
   MutexLock lock(&chain_mu_);
   for (size_t i = start; i < chain_.size(); ++i) {
     BackendSlot& slot = *chain_[i];
-    // A still-loading backend is worth waiting for only until the request's
-    // deadline; past it, the request falls down the chain (learned ->
-    // exact) instead of stalling.
-    while (slot.state == SlotState::kLoading) {
-      if (!bounded) {
-        chain_changed_.Wait(&lock);
-      } else if (chain_changed_.WaitUntil(&lock, deadline) ==
-                     std::cv_status::timeout &&
-                 slot.state == SlotState::kLoading) {
-        break;
-      }
-    }
-    if (slot.state == SlotState::kLoading) {
-      flags->any = true;
-      flags->deadline = true;
-      continue;
-    }
-    if (slot.state == SlotState::kFailed) {
+    if (slot.backend == nullptr) {
       flags->any = true;
       flags->load = true;
       continue;
@@ -212,8 +152,8 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
                                Clock::time_point admitted,
                                Clock::time_point deadline_default) {
   LatencyHistogram local_latency;
-  uint64_t served = 0, failed = 0, fb_load = 0, fb_deadline = 0;
-  uint64_t fb_breaker = 0, retries = 0, fast_fails = 0;
+  uint64_t served = 0, failed = 0, fb_load = 0, fb_breaker = 0;
+  uint64_t retries = 0, fast_fails = 0;
   if (shedder_ != nullptr) {
     // Admission-to-execution wait for this chunk — the shedder's pressure
     // signal. One sample per chunk keeps the cost off the per-request path.
@@ -255,18 +195,13 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
       bool attempted = false;
       while (true) {
         size_t index = 0;
-        BackendSlot* slot =
-            ChooseBackend(request.kind, deadline, next, &flags, &index);
+        BackendSlot* slot = ChooseBackend(request.kind, next, &flags, &index);
         if (slot == nullptr) {
           // Out of chain. Keep the last attempt's failure status if there
           // was one — it names the actual error.
           if (!attempted) {
             response.status =
-                flags.deadline
-                    ? Status::DeadlineExceeded(
-                          "deadline expired before any backend became ready")
-                    : Status::Unavailable(
-                          "no backend can serve this request");
+                Status::Unavailable("no backend can serve this request");
           }
           break;
         }
@@ -302,7 +237,7 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
           // The chaos harness's hook: may sleep, throw, or hand back an
           // error Status — all indistinguishable from a sick backend.
           const Status injected =
-              fault::MaybeInjectRuntimeFault("serve.backend." + slot->name);
+              fault::MaybeInjectRuntimeFault(slot->fault_point);
           if (!injected.ok()) {
             response.status = injected;
           } else {
@@ -343,7 +278,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
         record_outcome(slot, attempt_ok);
         if (attempt_ok) {
           if (flags.load) ++fb_load;
-          if (flags.deadline) ++fb_deadline;
           if (flags.breaker) ++fb_breaker;
           break;
         }
@@ -373,7 +307,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
   served_.Add(served);
   failed_.Add(failed);
   fell_back_load_.Add(fb_load);
-  fell_back_deadline_.Add(fb_deadline);
   fell_back_breaker_.Add(fb_breaker);
   retries_.Add(retries);
   fast_fails_.Add(fast_fails);
@@ -381,7 +314,6 @@ void QueryEngine::ExecuteChunk(std::span<const Request> requests,
   RNE_COUNTER_ADD("serve.served", served);
   RNE_COUNTER_ADD("serve.failed", failed);
   RNE_COUNTER_ADD("serve.fallback_load", fb_load);
-  RNE_COUNTER_ADD("serve.fallback_deadline", fb_deadline);
   RNE_COUNTER_ADD("serve.fallback_breaker", fb_breaker);
   RNE_COUNTER_ADD("serve.retries", retries);
   RNE_COUNTER_ADD("serve.fast_fails", fast_fails);
@@ -472,7 +404,6 @@ MetricsSnapshot QueryEngine::Metrics() const {
   snapshot.rejected = rejected_.Value();
   snapshot.failed = failed_.Value();
   snapshot.fell_back_load = fell_back_load_.Value();
-  snapshot.fell_back_deadline = fell_back_deadline_.Value();
   snapshot.fell_back_breaker = fell_back_breaker_.Value();
   snapshot.shed = shed_.Value();
   snapshot.retries = retries_.Value();

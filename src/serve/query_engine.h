@@ -8,12 +8,13 @@
 //    requests; a batch that would exceed it is rejected whole with
 //    Status::Unavailable (explicit backpressure instead of unbounded queue
 //    growth).
-//  * Per-request deadlines — measured from admission. Backends load
-//    asynchronously; a request whose primary is still loading waits only
-//    until its deadline, then falls back down the chain (learned backend ->
-//    exact Dijkstra), and a backend that failed to load is skipped
-//    immediately. A request that cannot be answered at all reports
-//    DeadlineExceeded/Unavailable rather than blocking forever.
+//  * Fallback chain — backends are built before they join the chain, so
+//    dispatch never waits on a load. A backend that failed to load stays in
+//    the chain as a skipped slot (learned backend -> exact Dijkstra), and a
+//    request no backend can answer reports Unavailable.
+//  * Per-request deadlines — measured from admission. A request whose
+//    deadline expired while queued fails fast with DeadlineExceeded, and
+//    retries down the chain stop once the deadline has passed.
 //  * Resilience (DESIGN.md §12) — a circuit breaker per backend slot trips
 //    on consecutive failures or windowed error rate and takes the backend
 //    out of the chain until a jittered-backoff probe succeeds; failed
@@ -33,7 +34,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -56,8 +56,7 @@ struct EngineOptions {
   size_t batch_chunk = 32;
   /// Deadline for requests that do not carry their own (0 = none).
   std::chrono::microseconds default_deadline{0};
-  /// Per-backend circuit breaker configuration (enabled by default; set
-  /// breaker.enabled = false for the pre-resilience dispatch behaviour).
+  /// Per-backend circuit breaker configuration.
   BreakerOptions breaker;
   /// Adaptive load shedding (disabled by default; shedder.max_limit is
   /// clamped to queue_capacity when enabled).
@@ -83,7 +82,8 @@ struct Response {
   /// Name of the backend that answered (empty on failure).
   std::string backend;
   bool exact = false;
-  /// True when a non-primary backend answered (load failure or deadline).
+  /// True when a non-primary backend answered (load failure, open breaker
+  /// or retry).
   bool fell_back = false;
   /// True when the answer came from a ResultCache hit, not a backend call.
   bool cached = false;
@@ -96,7 +96,9 @@ struct MetricsSnapshot {
   uint64_t rejected = 0;   // admission-control rejections (requests)
   uint64_t failed = 0;     // per-request errors (bad ids, no backend)
   uint64_t fell_back_load = 0;      // served past a failed/absent backend
-  uint64_t fell_back_deadline = 0;  // served past a still-loading backend
+  /// Always 0: backends load before they join the chain, so no request
+  /// waits on one. Kept for STATS consumers that read the key.
+  uint64_t fell_back_deadline = 0;
   uint64_t fell_back_breaker = 0;   // served past an open-breaker backend
   uint64_t shed = 0;        // requests shed by the AIMD admission limit
   uint64_t retries = 0;     // failed attempts retried down the chain
@@ -114,9 +116,6 @@ struct MetricsSnapshot {
 /// bench, and operator tooling.
 struct BackendHealth {
   std::string name;
-  /// kLoading/kReady/kFailed mirrored as a string ("loading", "ready",
-  /// "failed").
-  std::string load_state;
   BreakerState breaker = BreakerState::kClosed;
   uint64_t breaker_trips = 0;
 };
@@ -127,24 +126,22 @@ class QueryEngine {
   /// creates a private pool with options.num_threads workers.
   explicit QueryEngine(const EngineOptions& options = {},
                        ThreadPool* pool = nullptr);
-  /// Joins outstanding backend loads. Callers must have finished (or must
-  /// not start) QueryBatch calls.
-  ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
-  /// Appends a backend to the fallback chain (first added = primary) and
-  /// starts loading it on a dedicated thread; queries arriving before the
-  /// load finishes wait up to their deadline. `ctx.num_workers` is
-  /// overwritten with the pool's worker count.
+  /// Builds the backend with MakeBackend on the calling thread, then
+  /// appends it to the fallback chain (first added = primary). A failed
+  /// build still appends a slot, which dispatch skips; WaitUntilLoaded()
+  /// reports its error. `ctx.num_workers` is overwritten with the pool's
+  /// worker count.
   void AddBackend(const std::string& name, BackendContext ctx);
-  /// Appends an already-constructed backend, immediately ready (tests,
-  /// in-process indexes).
+  /// Appends an already-constructed backend (tests, in-process indexes).
   void AddReadyBackend(std::unique_ptr<QueryBackend> backend);
 
-  /// Blocks until every added backend finished loading; returns the first
-  /// load error (the engine still serves via the rest of the chain).
+  /// Returns the first backend load error without blocking (every backend
+  /// is loaded by the time Add* returns); the engine still serves via the
+  /// rest of the chain.
   Status WaitUntilLoaded();
 
   /// Executes `requests` as one batch: admits all-or-nothing (Unavailable
@@ -159,22 +156,24 @@ class QueryEngine {
 
   MetricsSnapshot Metrics() const;
 
-  /// Per-slot load state and breaker health, in chain order.
+  /// Per-slot breaker health, in chain order.
   std::vector<BackendHealth> Health() const;
 
   ThreadPool& pool() { return *pool_; }
   size_t num_backends() const;
 
  private:
-  enum class SlotState { kLoading, kReady, kFailed };
-
   struct BackendSlot {
     std::string name;
-    SlotState state = SlotState::kLoading;
+    /// Null when the load failed; `load_status` says why and dispatch
+    /// skips the slot.
     std::unique_ptr<QueryBackend> backend;
     Status load_status;
+    /// Fault-injection point "serve.backend.<name>", built once here so
+    /// dispatch does not allocate it per request.
+    std::string fault_point;
     /// Registry histogram "serve.backend.<name>.latency_ns" (backend-call
-    /// time only, excluding queue wait). Resolved once at AddBackend.
+    /// time only, excluding queue wait). Resolved once at Add time.
     obs::LatencyStat* latency = nullptr;
     /// Per-backend health model; consulted before every dispatch and fed
     /// every outcome. Never null.
@@ -186,39 +185,37 @@ class QueryEngine {
 
   using Clock = std::chrono::steady_clock;
 
-  std::unique_ptr<BackendSlot> MakeSlot(const std::string& name);
+  /// Appends a slot for `backend` (null when `load_status` is an error).
+  void AppendSlot(const std::string& name,
+                  std::unique_ptr<QueryBackend> backend, Status load_status)
+      RNE_EXCLUDES(chain_mu_);
 
   void ExecuteChunk(std::span<const Request> requests,
                     std::span<Response> out, Clock::time_point admitted,
                     Clock::time_point deadline_default);
   /// Flags accumulated while walking the chain for one request.
   struct FallbackFlags {
-    bool any = false;       // a non-primary consideration happened
-    bool deadline = false;  // skipped a still-loading backend at deadline
-    bool load = false;      // skipped a failed-to-load backend
-    bool breaker = false;   // skipped an open-breaker backend
+    bool any = false;      // a non-primary consideration happened
+    bool load = false;     // skipped a failed-to-load backend
+    bool breaker = false;  // skipped an open-breaker backend
   };
   /// Picks the first servable slot at index >= `start` per the fallback
-  /// policy; blocks on loading slots until `deadline`. Returns nullptr when
-  /// no backend can serve; `*index` receives the chosen slot's position so
-  /// retries resume after it. The returned slot's backend/latency pointers
-  /// are stable (slots are never removed and a slot that reached kReady
-  /// never changes again).
-  BackendSlot* ChooseBackend(RequestKind kind, Clock::time_point deadline,
-                             size_t start, FallbackFlags* flags,
-                             size_t* index) RNE_EXCLUDES(chain_mu_);
-  /// True while any slot is still kLoading.
-  bool AnyBackendLoading() const RNE_REQUIRES(chain_mu_);
+  /// policy, without waiting. Returns nullptr when no backend can serve;
+  /// `*index` receives the chosen slot's position so retries resume after
+  /// it. The returned slot is stable: slots are never removed or changed
+  /// after they are appended.
+  BackendSlot* ChooseBackend(RequestKind kind, size_t start,
+                             FallbackFlags* flags, size_t* index)
+      RNE_EXCLUDES(chain_mu_);
 
   const EngineOptions options_;
   std::unique_ptr<ThreadPool> owned_pool_;
   ThreadPool* pool_;
   const Clock::time_point start_;
 
+  /// Add* may run beside QueryBatch, so the chain vector is guarded.
   mutable Mutex chain_mu_;
-  CondVar chain_changed_;
   std::vector<std::unique_ptr<BackendSlot>> chain_ RNE_GUARDED_BY(chain_mu_);
-  std::vector<std::thread> loaders_ RNE_GUARDED_BY(chain_mu_);
 
   /// Engine-wide admission-to-completion latency; LatencyHistogram is not
   /// thread-safe, so chunk-local histograms merge under this mutex.
@@ -233,7 +230,6 @@ class QueryEngine {
   obs::Counter rejected_;
   obs::Counter failed_;
   obs::Counter fell_back_load_;
-  obs::Counter fell_back_deadline_;
   obs::Counter fell_back_breaker_;
   obs::Counter shed_;
   obs::Counter retries_;

@@ -72,7 +72,6 @@ void CircuitBreaker::ResetWindowLocked() {
 }
 
 bool CircuitBreaker::Allow(Clock::time_point now) {
-  if (!options_.enabled) return true;
   MutexLock lock(&mu_);
   switch (state_) {
     case BreakerState::kClosed:
@@ -91,7 +90,6 @@ bool CircuitBreaker::Allow(Clock::time_point now) {
 }
 
 void CircuitBreaker::RecordSuccess(Clock::time_point now) {
-  if (!options_.enabled) return;
   (void)now;  // symmetry with RecordFailure; success never needs a deadline
   MutexLock lock(&mu_);
   switch (state_) {
@@ -119,7 +117,6 @@ void CircuitBreaker::RecordSuccess(Clock::time_point now) {
 }
 
 void CircuitBreaker::RecordFailure(Clock::time_point now) {
-  if (!options_.enabled) return;
   MutexLock lock(&mu_);
   switch (state_) {
     case BreakerState::kClosed: {
@@ -189,7 +186,6 @@ void AimdLoadShedder::AdaptLocked(Clock::time_point now) {
 }
 
 size_t AimdLoadShedder::CurrentLimit(Clock::time_point now) {
-  if (!options_.enabled) return options_.max_limit;
   MutexLock lock(&mu_);
   AdaptLocked(now);
   return limit_;
@@ -197,7 +193,6 @@ size_t AimdLoadShedder::CurrentLimit(Clock::time_point now) {
 
 void AimdLoadShedder::RecordQueueWait(int64_t wait_ns,
                                       Clock::time_point now) {
-  if (!options_.enabled) return;
   MutexLock lock(&mu_);
   waits_.Record(wait_ns);
   AdaptLocked(now);

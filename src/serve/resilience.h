@@ -37,9 +37,6 @@ enum class BreakerState { kClosed = 0, kHalfOpen = 1, kOpen = 2 };
 const char* BreakerStateName(BreakerState state);
 
 struct BreakerOptions {
-  /// false makes Allow() always true and Record*() no-ops (chain behaves as
-  /// before this layer existed).
-  bool enabled = true;
   /// Trip after this many consecutive failures regardless of rate.
   size_t consecutive_failures = 5;
   /// Trip when failures/window >= this, once the window holds min_samples.
@@ -100,7 +97,8 @@ class CircuitBreaker {
 };
 
 struct ShedderOptions {
-  /// false disables shedding entirely (CurrentLimit() pins to max_limit).
+  /// Whether QueryEngine builds a shedder at all; AimdLoadShedder itself
+  /// does not read it.
   bool enabled = false;
   /// Admitted-depth bounds the AIMD limit moves between. The engine clamps
   /// max_limit to its queue capacity.

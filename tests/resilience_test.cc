@@ -140,17 +140,6 @@ TEST(CircuitBreakerTest, LateOutcomesWhileOpenAreIgnored) {
   EXPECT_TRUE(breaker.Allow(t + milliseconds(101)));
 }
 
-TEST(CircuitBreakerTest, DisabledBreakerAlwaysAllows) {
-  BreakerOptions opt = FastBreaker();
-  opt.enabled = false;
-  CircuitBreaker breaker(opt);
-  const auto t = T0();
-  for (int i = 0; i < 100; ++i) breaker.RecordFailure(t);
-  EXPECT_TRUE(breaker.Allow(t));
-  EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_EQ(breaker.trips(), 0u);
-}
-
 TEST(CircuitBreakerTest, JitterStaysWithinConfiguredBand) {
   BreakerOptions opt = FastBreaker();
   opt.jitter = 0.2;
@@ -164,7 +153,6 @@ TEST(CircuitBreakerTest, JitterStaysWithinConfiguredBand) {
 
 ShedderOptions FastShedder() {
   ShedderOptions opt;
-  opt.enabled = true;
   opt.min_limit = 4;
   opt.max_limit = 64;
   opt.target_queue_wait_p95 = std::chrono::microseconds(1000);
@@ -226,19 +214,6 @@ TEST(AimdLoadShedderTest, LimitIsClampedToConfiguredBounds) {
     (void)shedder.CurrentLimit(t);
   }
   EXPECT_EQ(shedder.CurrentLimit(t), 64u);
-}
-
-TEST(AimdLoadShedderTest, DisabledShedderPinsToMax) {
-  ShedderOptions opt = FastShedder();
-  opt.enabled = false;
-  AimdLoadShedder shedder(opt);
-  auto t = T0();
-  for (int i = 0; i < 10; ++i) {
-    shedder.RecordQueueWait(kSlowWaitNs, t);
-    t += milliseconds(11);
-  }
-  EXPECT_EQ(shedder.CurrentLimit(t), 64u);
-  EXPECT_EQ(shedder.decreases(), 0u);
 }
 
 }  // namespace
